@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"time"
@@ -122,10 +124,12 @@ type SimBenchRung struct {
 	TotalSeconds     float64         `json:"total_seconds"` // build + run (the budget basis)
 	EventsScheduled  int64           `json:"events_scheduled"`
 	EventsFired      int64           `json:"events_fired"`
+	Spawns           int64           `json:"spawns"`
 	Switches         int64           `json:"switches"`
 	EventsPerSec     float64         `json:"events_per_sec"`
 	WallPerSimSec    float64         `json:"wall_per_sim_second"`
 	SwitchesPerEvent float64         `json:"switches_per_event"`
+	AllocPerEvent    float64         `json:"alloc_bytes_per_event"` // heap bytes allocated over build + run, per event fired
 	PeakEventHeap    int             `json:"peak_event_heap"`
 	PeakProcs        int             `json:"peak_procs"`
 	OverBudget       bool            `json:"over_budget,omitempty"`
@@ -135,6 +139,8 @@ type SimBenchRung struct {
 
 // SimBenchResult is the BENCH_sim.json payload.
 type SimBenchResult struct {
+	GoVersion         string         `json:"go_version"`
+	NumCPU            int            `json:"nproc"`
 	Alg               string         `json:"alg"`
 	Seed              int64          `json:"seed"`
 	Maintenance       bool           `json:"maintenance"`
@@ -147,6 +153,8 @@ type SimBenchResult struct {
 // set the scale — but Seed and Instrument (trace/report sinks) apply.
 func SimBench(cfg SimBenchConfig, o Options) (*SimBenchResult, *Table) {
 	result := &SimBenchResult{
+		GoVersion:         runtime.Version(),
+		NumCPU:            runtime.NumCPU(),
 		Alg:               cfg.Alg.String(),
 		Seed:              o.Seed,
 		Maintenance:       cfg.Maintenance,
@@ -207,6 +215,7 @@ func simBenchRung(cfg SimBenchConfig, o Options, scale float64) SimBenchRung {
 		ins.OnStats = o.Instrument.OnStats
 	}
 
+	a0 := heapAllocBytes()
 	t0 := time.Now()
 	d := Build(Scenario{
 		Alg:         cfg.Alg,
@@ -217,6 +226,7 @@ func simBenchRung(cfg SimBenchConfig, o Options, scale float64) SimBenchRung {
 	})
 	res := d.Run()
 	total := time.Since(t0)
+	allocs := heapAllocBytes() - a0
 	st := d.Engine.Stats()
 
 	rung := SimBenchRung{
@@ -229,6 +239,7 @@ func simBenchRung(cfg SimBenchConfig, o Options, scale float64) SimBenchRung {
 		TotalSeconds:     total.Seconds(),
 		EventsScheduled:  st.EventsScheduled,
 		EventsFired:      st.EventsFired,
+		Spawns:           st.Spawns,
 		Switches:         st.Switches,
 		EventsPerSec:     st.EventsPerSec(),
 		WallPerSimSec:    st.WallPerVirtSec(),
@@ -237,6 +248,9 @@ func simBenchRung(cfg SimBenchConfig, o Options, scale float64) SimBenchRung {
 		PeakProcs:        st.PeakProcs,
 		OverBudget:       total > cfg.WallBudget,
 		TopLayer:         st.TopTag(),
+	}
+	if st.EventsFired > 0 {
+		rung.AllocPerEvent = float64(allocs) / float64(st.EventsFired)
 	}
 	for _, r := range st.RankedTags() {
 		rung.Layers = append(rung.Layers, SimBenchLayer{
@@ -248,4 +262,12 @@ func simBenchRung(cfg SimBenchConfig, o Options, scale float64) SimBenchRung {
 		})
 	}
 	return rung
+}
+
+// heapAllocBytes returns the bytes this process has allocated on the
+// heap so far (cumulative, not live).
+func heapAllocBytes() uint64 {
+	s := []rtmetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	rtmetrics.Read(s)
+	return s[0].Value.Uint64()
 }

@@ -67,7 +67,8 @@ func TestSimBenchTinyLadder(t *testing.T) {
 		if r.Delivered != r.Jobs {
 			t.Fatalf("rung %d: %d/%d jobs delivered", i, r.Delivered, r.Jobs)
 		}
-		if r.EventsFired == 0 || r.EventsPerSec == 0 || r.SwitchesPerEvent == 0 {
+		if r.EventsFired == 0 || r.EventsPerSec == 0 || r.SwitchesPerEvent == 0 ||
+			r.Spawns == 0 || r.AllocPerEvent == 0 {
 			t.Fatalf("rung %d: empty kernel stats: %+v", i, r)
 		}
 		if r.TopLayer == "" || len(r.Layers) == 0 {
@@ -100,8 +101,14 @@ func TestSimBenchTinyLadder(t *testing.T) {
 	if !ok || len(rungs) != 2 {
 		t.Fatalf("rungs key missing: %s", blob)
 	}
+	for _, key := range []string{"go_version", "nproc"} {
+		if _, ok := decoded[key]; !ok {
+			t.Fatalf("result JSON missing %q: %s", key, blob)
+		}
+	}
 	first := rungs[0].(map[string]any)
-	for _, key := range []string{"events_per_sec", "wall_per_sim_second", "switches_per_event", "top_layer", "layers"} {
+	for _, key := range []string{"events_per_sec", "wall_per_sim_second", "switches_per_event",
+		"spawns", "alloc_bytes_per_event", "top_layer", "layers"} {
 		if _, ok := first[key]; !ok {
 			t.Fatalf("rung JSON missing %q: %s", key, blob)
 		}

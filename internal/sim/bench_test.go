@@ -24,8 +24,8 @@ func BenchmarkScheduleFire(b *testing.B) {
 }
 
 // BenchmarkProcPingPong measures the engine<->proc context-switch cost:
-// each round trip is two wakes (and two parks) through real goroutine
-// handoffs — the overhead an event-callback fast path would eliminate.
+// each round trip is two wakes (and two parks), each a handoff between
+// the engine goroutine and a proc goroutine over unbuffered channels.
 func BenchmarkProcPingPong(b *testing.B) {
 	e := NewEngine(1)
 	ping, pong := NewChan[int](e), NewChan[int](e)
@@ -43,6 +43,18 @@ func BenchmarkProcPingPong(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkSpawnExit measures the life of the cheapest proc: spawned,
+// started, exited at once, never calling Rand. Most procs in a grid run
+// are of this kind (one per simnet RPC handler), so this prices what
+// every message delivery pays for its handler.
+func BenchmarkSpawnExit(b *testing.B) {
+	e := NewEngine(1)
+	for i := 0; i < b.N; i++ {
+		e.Spawn("handler", func(*Proc) {})
+		e.Run()
+	}
 }
 
 // BenchmarkHeapPushPopDepth measures one schedule+fire while the event

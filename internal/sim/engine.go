@@ -7,6 +7,11 @@
 // most one Proc goroutine are runnable at any instant; control is handed
 // back and forth over unbuffered channels. Given a fixed seed and
 // workload, every run produces an identical event order.
+//
+// Cost model: a proc pays only for what it uses. Its random stream is
+// seeded at spawn (one draw from the master stream, so the draw order
+// never depends on which procs use randomness) but built on first use,
+// and switch tracing boxes nothing while Engine.Trace is nil.
 package sim
 
 import (
@@ -104,7 +109,9 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // NewRand returns a new random stream seeded from the master stream, so
-// per-node randomness is stable under changes elsewhere.
+// per-node randomness is stable under changes elsewhere. Every spawn
+// also draws one seed from the master stream (see Proc.Rand), in spawn
+// order, whether or not the proc ever uses its stream.
 func (e *Engine) NewRand() *rand.Rand {
 	return rand.New(rand.NewSource(e.rng.Int63()))
 }
@@ -278,9 +285,12 @@ func (e *Engine) checkFailure() {
 	}
 }
 
-func (e *Engine) tracef(format string, args ...any) {
+// traceProc reports a proc's start, park, wake or exit to Trace. The
+// arguments are typed and boxed only inside the guard, so tracing costs
+// no allocation while Trace is nil.
+func (e *Engine) traceProc(verb string, p *Proc) {
 	if e.Trace != nil {
-		e.Trace(format, args...)
+		e.Trace("%v %s %s", e.now, verb, p.name)
 	}
 }
 

@@ -17,6 +17,10 @@ const (
 // Proc is a simulated process: a goroutine that runs exclusively and
 // blocks only through the primitives on this type. All methods must be
 // called from the proc's own goroutine unless documented otherwise.
+//
+// A proc's random stream is seeded at spawn but built on the first
+// Rand call, so the many procs that never draw (RPC handlers, mostly)
+// cost neither the stream's memory nor its seeding.
 type Proc struct {
 	e     *Engine
 	id    uint64
@@ -24,7 +28,8 @@ type Proc struct {
 	state procState
 	gen   uint64 // park generation; stale wakes are dropped
 	wakes chan wake
-	rng   *rand.Rand
+	seed  int64      // drawn from the master stream at spawn
+	rng   *rand.Rand // nil until the first Rand call
 
 	killed   bool
 	spawnEv  *Event
@@ -55,7 +60,7 @@ func (e *Engine) SpawnAfter(d time.Duration, name string, fn func(p *Proc)) *Pro
 		name:  name,
 		state: pStart,
 		wakes: make(chan wake),
-		rng:   e.NewRand(),
+		seed:  e.rng.Int63(),
 	}
 	e.procs[p] = struct{}{}
 	if st := e.stats; st != nil && len(e.procs) > st.PeakProcs {
@@ -66,7 +71,7 @@ func (e *Engine) SpawnAfter(d time.Duration, name string, fn func(p *Proc)) *Pro
 			return
 		}
 		p.state = pActive
-		e.tracef("%v start %s", e.now, p.name)
+		e.traceProc("start", p)
 		if st := e.stats; st != nil {
 			st.Spawns++
 			st.Switches++
@@ -96,7 +101,7 @@ func (p *Proc) run(fn func(p *Proc)) {
 		}
 		p.state = pDead
 		delete(p.e.procs, p)
-		p.e.tracef("%v exit %s", p.e.now, p.name)
+		p.e.traceProc("exit", p)
 		p.e.ctl <- struct{}{}
 	}()
 	fn(p)
@@ -111,8 +116,14 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
-// Rand returns this proc's private random stream.
-func (p *Proc) Rand() *rand.Rand { return p.rng }
+// Rand returns this proc's private random stream, built on the first
+// call from the seed drawn at spawn.
+func (p *Proc) Rand() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.seed))
+	}
+	return p.rng
+}
 
 // Killed reports whether the proc has been killed (observable from
 // engine context; a killed proc itself unwinds before it could ask).
@@ -129,7 +140,7 @@ func (p *Proc) nextGen() uint64 {
 // with killedSignal if the proc was killed.
 func (p *Proc) park() wake {
 	p.state = pParked
-	p.e.tracef("%v park %s", p.e.now, p.name)
+	p.e.traceProc("park", p)
 	p.e.ctl <- struct{}{}
 	w := <-p.wakes
 	if w.killed {
@@ -149,7 +160,7 @@ func (p *Proc) deliver(w wake) bool {
 		return false
 	}
 	p.state = pActive
-	p.e.tracef("%v wake %s", p.e.now, p.name)
+	p.e.traceProc("wake", p)
 	if st := p.e.stats; st != nil {
 		st.Switches++
 		st.Wakes++

@@ -200,10 +200,15 @@ func (ep *Endpoint) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
 	ep.seq++
 	var p *sim.Proc
 	ep.net.Engine.Tagged(LayerOf(name), func() {
-		p = ep.net.Engine.Spawn(fmt.Sprintf("%s/%s#%d", ep.addr, name, ep.seq), fn)
+		p = ep.net.Engine.Spawn(fmt.Sprintf("%s/%s#%d", ep.addr, name, ep.seq), func(p *sim.Proc) {
+			// Runs on return and on a kill's unwind alike, so a finished
+			// handler does not stay reachable (with its request) until
+			// the endpoint next crashes.
+			defer func() { delete(ep.procs, p) }()
+			fn(p)
+		})
 	})
 	ep.procs[p] = struct{}{}
-	p.OnKilled = func() { delete(ep.procs, p) }
 	return p
 }
 

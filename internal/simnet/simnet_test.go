@@ -121,6 +121,33 @@ func TestCrashMidHandlerDropsResponse(t *testing.T) {
 	}
 }
 
+// TestEndpointForgetsFinishedProcs checks that an endpoint tracks only
+// live procs: handlers that returned and procs killed mid-run both
+// leave its set, while a parked proc stays to be killed by Crash.
+func TestEndpointForgetsFinishedProcs(t *testing.T) {
+	e, _, a, b := newPair(t)
+	b.Handle("echo", func(p *sim.Proc, from Addr, req any) (any, error) { return req, nil })
+	a.Go("caller", func(p *sim.Proc) {
+		for i := 0; i < 5; i++ {
+			if _, err := a.Call(p, "b", "echo", i); err != nil {
+				t.Errorf("call %d: %v", i, err)
+			}
+		}
+	})
+	a.Go("server", func(p *sim.Proc) { p.Sleep(time.Hour) })
+	killed := b.Go("killed", func(p *sim.Proc) { p.Sleep(time.Hour) })
+	e.Schedule(time.Second, killed.Kill)
+	e.RunFor(time.Minute)
+	if len(a.procs) != 1 || len(b.procs) != 0 {
+		t.Fatalf("live procs: a=%d b=%d, want 1 and 0", len(a.procs), len(b.procs))
+	}
+	a.Crash()
+	e.Run()
+	if e.Parked() != 0 {
+		t.Fatalf("%d procs still parked after crash", e.Parked())
+	}
+}
+
 func TestCrashInFlightRequestLost(t *testing.T) {
 	// Crash while the request is on the wire: delivery re-check drops it.
 	e, n, a, b := newPair(t)
