@@ -18,15 +18,11 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/chord"
 	"repro/internal/grid"
-	"repro/internal/ids"
-	"repro/internal/match"
 	"repro/internal/nettransport"
 	"repro/internal/obs"
-	"repro/internal/pubsub"
+	"repro/internal/peer"
 	"repro/internal/resource"
-	"repro/internal/rntree"
 	"repro/internal/sandbox"
 	"repro/internal/transport"
 	"repro/internal/trust"
@@ -105,23 +101,16 @@ func main() {
 		fmt.Printf("gridnode: metrics at http://%s/metrics (events at /events, profiles at /debug/pprof)\n", bound)
 	}
 
-	ch := chord.New(host, chord.Config{
-		StabilizeEvery:  500 * time.Millisecond,
-		FixFingersEvery: 500 * time.Millisecond,
-		Obs:             o,
-	})
-	rn := rntree.New(host, ch, caps, *osname, rntree.Config{AggregateEvery: time.Second, Obs: o})
-	overlay := &match.ChordOverlay{Chord: ch, Walk: rn}
-	var matcher grid.Matchmaker = &match.RNTree{RN: rn}
+	cfg := peer.Live(caps, *osname)
+	cfg.Chord.Obs = o
+	cfg.RNTree.Obs = o
 	// Voting implies reputation: the owner scores replicas against each
 	// accepted digest, and matchmaking avoids blacklisted peers. The
 	// table is answerable over grid.trust (gridctl trust).
-	var tb *trust.Table
 	if *replicas > 1 || *quorum > 1 {
-		tb = trust.New(trust.Config{})
-		matcher = &match.Trusted{Inner: matcher, Table: tb}
+		cfg.Grid.Trust = trust.New(trust.Config{})
 	}
-	logger := grid.RecorderFunc(func(ev grid.Event) {
+	cfg.Recorder = grid.RecorderFunc(func(ev grid.Event) {
 		fmt.Printf("%s job=%s attempt=%d node=%s\n", ev.Kind, ev.JobID.Short(), ev.Attempt, ev.Node)
 	})
 	// Jobs run inside a sandbox (Section 5 of the paper): private
@@ -157,66 +146,33 @@ func main() {
 	// a rendezvous node found by ordinary lookups, so every peer runs a
 	// broker and owners publish to whichever rendezvous a job's topic
 	// maps to (DESIGN.md §13).
-	var broker *pubsub.Broker
-	if *notify {
-		broker = pubsub.New(host, pubsub.Config{
-			Lookup: func(rt transport.Runtime, key ids.ID) (transport.Addr, error) {
-				ref, _, err := ch.Lookup(rt, key)
-				if err != nil {
-					return "", err
-				}
-				return ref.Addr, nil
-			},
-			Obs: o,
-		})
-	}
-	gn := grid.NewNode(host, caps, *osname, overlay, matcher, logger, grid.Config{
-		HeartbeatEvery: time.Second,
-		Executor:       executor,
-		Replicas:       *replicas,
-		Quorum:         *quorum,
-		Trust:          tb,
-		ProbeEvery:     *probeEvery,
-		OwnerCapacity:  *ownerCap,
-		Obs:            o,
-		// Transport health feeds graceful degradation (breaker-open
-		// peers demoted in matchmaking and probing) and grid.health.
-		PeerDown: host.PeerDown,
-		Health:   gridHealth(host),
-		Notify:   broker,
-	})
-	rn.SetLoadFn(gn.QueueLen)
-	if broker != nil {
-		broker.SetOnEvent(gn.OnNotification)
-		ch.SetRingChange(broker.RingChange)
-	}
+	cfg.Notify = *notify
+	cfg.Grid.Executor = executor
+	cfg.Grid.Replicas = *replicas
+	cfg.Grid.Quorum = *quorum
+	cfg.Grid.ProbeEvery = *probeEvery
+	cfg.Grid.OwnerCapacity = *ownerCap
+	cfg.Grid.Obs = o
+	// Transport health feeds graceful degradation (breaker-open peers
+	// demoted in matchmaking and probing) and grid.health.
+	cfg.Grid.PeerDown = host.PeerDown
+	cfg.Grid.Health = host.Health
+	p := peer.New(host, cfg)
 
 	if *bootstrap == "" {
-		ch.Create()
-		fmt.Printf("gridnode: created grid at %s (id %s)\n", host.Addr(), ch.ID().Short())
+		p.Create()
+		fmt.Printf("gridnode: created grid at %s (id %s)\n", host.Addr(), p.Chord.ID().Short())
 	} else {
 		joined := make(chan error, 1)
-		host.Go("join", func(rt transport.Runtime) {
-			var jerr error
-			for try := 0; try < 20; try++ {
-				if jerr = ch.Join(rt, transport.Addr(*bootstrap)); jerr == nil {
-					break
-				}
-				rt.Sleep(500 * time.Millisecond)
-			}
-			joined <- jerr
-		})
+		host.Go("join", func(rt transport.Runtime) { joined <- p.Join(rt, transport.Addr(*bootstrap)) })
 		if err := <-joined; err != nil {
 			fmt.Fprintf(os.Stderr, "gridnode: join: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("gridnode: joined via %s as %s (id %s)\n", *bootstrap, host.Addr(), ch.ID().Short())
+		fmt.Printf("gridnode: joined via %s as %s (id %s)\n", *bootstrap, host.Addr(), p.Chord.ID().Short())
 	}
-	ch.Start()
-	rn.Start()
-	gn.Start()
-	if broker != nil {
-		broker.Start()
+	p.Start(true)
+	if p.Broker != nil {
 		fmt.Println("gridnode: pub/sub notifications on (topics rendezvous on the ring)")
 	}
 
@@ -225,25 +181,4 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("gridnode: shutting down")
-}
-
-// gridHealth adapts the transport's breaker snapshot to the grid's
-// transport-agnostic health type for the grid.health RPC.
-func gridHealth(host *nettransport.Host) func() []grid.PeerHealth {
-	return func() []grid.PeerHealth {
-		hs := host.Health()
-		out := make([]grid.PeerHealth, len(hs))
-		for i, e := range hs {
-			out[i] = grid.PeerHealth{
-				Peer:        e.Peer,
-				State:       e.State,
-				ConsecFails: e.ConsecFails,
-				Failures:    e.Failures,
-				Successes:   e.Successes,
-				Opens:       e.Opens,
-				RetryIn:     e.RetryIn,
-			}
-		}
-		return out
-	}
 }

@@ -15,8 +15,8 @@ import (
 	"repro/internal/ids"
 	"repro/internal/match"
 	"repro/internal/metrics"
+	"repro/internal/peer"
 	"repro/internal/pubsub"
-	"repro/internal/replica"
 	"repro/internal/rntree"
 	"repro/internal/sim"
 	"repro/internal/simhost"
@@ -138,15 +138,13 @@ type Deployment struct {
 	Hosts     []*simhost.Host
 	Eps       []*simnet.Endpoint
 	Grids     []*grid.Node
-	Chords    []*chord.Node
-	RNs       []*rntree.Node
+	Peers     []*peer.Peer // chord-family algorithms; nil under CAN
 	CANs      []*can.Node
 	Registry  *match.Registry
 	Collector *metrics.Collector
 	Byz       *faultinject.Byz // saboteur selection; nil without Sabotage
 	Brokers   []*pubsub.Broker // notification overlay; nil without Notify
-	ttls      []*match.TTL
-	clients   []int // grid node index serving each workload client
+	clients   []int            // grid node index serving each workload client
 }
 
 // Build constructs and wires the deployment; nothing runs yet.
@@ -180,7 +178,6 @@ func Build(s Scenario) *Deployment {
 	}
 
 	n := len(w.Nodes)
-	needChord := s.Alg == AlgRNTree || s.Alg == AlgCentral || s.Alg == AlgTTL || s.Alg == AlgRandom
 	needCAN := s.Alg == AlgCAN || s.Alg == AlgCANPush
 
 	// Map workload clients onto grid nodes, spread across the ID space.
@@ -213,169 +210,131 @@ func Build(s Scenario) *Deployment {
 		d.Hosts = append(d.Hosts, h)
 		spec := w.Nodes[i]
 
-		var overlay grid.Overlay
-		var matcher grid.Matchmaker
-
-		if needChord {
-			ch := chord.New(h, chord.Config{})
-			d.Chords = append(d.Chords, ch)
-			switch s.Alg {
-			case AlgRNTree:
-				rcfg := rntree.Config{K: s.ExtendedSearchK}
-				if s.RandomWalkLen != 0 {
-					rcfg.RandomWalkLen = s.RandomWalkLen
-				}
-				rn := rntree.New(h, ch, spec.Caps, spec.OS, rcfg)
-				d.RNs = append(d.RNs, rn)
-				walk := rn
-				if s.RandomWalkLen < 0 {
-					walk = nil
-				}
-				overlay = &match.ChordOverlay{Chord: ch, Walk: walk}
-				matcher = &match.RNTree{RN: rn, K: s.ExtendedSearchK}
-			case AlgCentral:
-				overlay = &match.ChordOverlay{Chord: ch}
-				matcher = &match.Central{Reg: d.Registry}
-			case AlgRandom:
-				overlay = &match.ChordOverlay{Chord: ch}
-				matcher = &match.Random{Reg: d.Registry}
-			case AlgTTL:
-				overlay = &match.ChordOverlay{Chord: ch}
-				ttl := &match.TTL{
-					Self:      h.Addr(),
-					Caps:      spec.Caps,
-					OS:        spec.OS,
-					Budget:    s.TTLBudget,
-					Neighbors: ttlNeighborFn(ch),
-				}
-				d.ttls = append(d.ttls, ttl)
-				matcher = ttl
-			}
-		}
-		if needCAN {
-			cn := can.New(h, spec.Caps, spec.OS, can.Config{
-				DisableVirtualDim: s.DisableVirtualDim,
-				Space:             s.Workload.Space,
-			})
-			d.CANs = append(d.CANs, cn)
-			overlay = &match.CANOverlay{CAN: cn}
-			matcher = &match.CAN{CN: cn, Push: s.Alg == AlgCANPush}
-		}
-
 		gcfg := s.Grid
-		if gcfg.ReplicaK > 0 && needChord {
-			gcfg.ReplicaRing = replica.ChordRing{Node: d.Chords[i]}
-		}
-		if s.Notify {
-			pcfg := pubsub.Config{Obs: gcfg.Obs}
-			if needChord {
-				ch := d.Chords[i]
-				pcfg.Lookup = func(rt transport.Runtime, key ids.ID) (transport.Addr, error) {
-					ref, _, err := ch.Lookup(rt, key)
-					if err != nil {
-						return "", err
-					}
-					return ref.Addr, nil
-				}
-				if gcfg.ReplicaK > 0 {
-					pcfg.Ring = replica.ChordRing{Node: ch}
-					pcfg.K = gcfg.ReplicaK
-				}
-			} else {
-				// No ring to hash topics onto: a fixed rendezvous keeps
-				// the overlay usable under the CAN algorithms.
-				rdv := d.Hosts[0].Addr()
-				pcfg.Lookup = func(rt transport.Runtime, key ids.ID) (transport.Addr, error) {
-					return rdv, nil
-				}
-			}
-			b := pubsub.New(h, pcfg)
-			d.Brokers = append(d.Brokers, b)
-			gcfg.Notify = b
-		}
 		if s.Trust != nil {
-			tb := trust.New(*s.Trust)
-			gcfg.Trust = tb
-			matcher = &match.Trusted{Inner: matcher, Table: tb}
+			gcfg.Trust = trust.New(*s.Trust)
 		}
 		if d.Byz != nil {
 			gcfg.Byzantine = d.Byz.Behavior(i)
 		}
-		gn := grid.NewNode(h, spec.Caps, spec.OS, overlay, matcher, d.Collector, gcfg)
-		d.Grids = append(d.Grids, gn)
+		if needCAN {
+			d.buildCAN(h, spec, gcfg)
+		} else {
+			d.buildPeer(h, spec, gcfg)
+		}
 		d.Registry.Register(h.Addr(), match.RegistryEntry{
 			Caps: spec.Caps,
 			OS:   spec.OS,
-			Load: gn.QueueLen,
+			Load: d.Grids[i].QueueLen,
 			Up:   ep.Up,
 		})
 	}
 
-	// Late wiring that needs the grid node.
-	for i := 0; i < n; i++ {
-		gn := d.Grids[i]
-		if s.Notify {
-			d.Brokers[i].SetOnEvent(gn.OnNotification)
-		}
-		if needChord {
-			// Stabilization events re-aim replica pushes (and pub/sub
-			// subscriber-list replication) immediately instead of
-			// waiting out the next anti-entropy period.
-			replKick := s.Grid.ReplicaK > 0
-			switch {
-			case replKick && s.Notify:
-				b := d.Brokers[i]
-				d.Chords[i].SetRingChange(func() { gn.ReplicaKick(); b.RingChange() })
-			case replKick:
-				d.Chords[i].SetRingChange(gn.ReplicaKick)
-			case s.Notify:
-				d.Chords[i].SetRingChange(d.Brokers[i].RingChange)
-			}
-		}
-		if len(d.RNs) > 0 {
-			d.RNs[i].SetLoadFn(gn.QueueLen)
-		}
-		if len(d.CANs) > 0 {
-			d.CANs[i].SetLoadFn(gn.QueueLen)
-		}
-		if s.Alg == AlgTTL {
-			// The TTL baseline also needs remote probes answered.
-			match.RegisterProbe(d.Hosts[i], w.Nodes[i].Caps, w.Nodes[i].OS, gn.QueueLen, ttlNeighborFn(d.Chords[i]))
-			d.ttls[i].Load = gn.QueueLen
-		}
-	}
-
 	// Converged overlays without simulating thousands of joins.
-	if needChord {
-		chord.WarmStart(d.Chords)
-	}
-	if len(d.RNs) > 0 {
-		rntree.WarmStart(d.RNs, time.Duration(e.Now()))
-	}
 	if needCAN {
 		can.WarmStart(d.CANs, time.Duration(e.Now()))
+	} else {
+		chords := make([]*chord.Node, n)
+		var rns []*rntree.Node
+		for i, p := range d.Peers {
+			chords[i] = p.Chord
+			if p.RN != nil {
+				rns = append(rns, p.RN)
+			}
+		}
+		chord.WarmStart(chords)
+		if len(rns) > 0 {
+			rntree.WarmStart(rns, time.Duration(e.Now()))
+		}
 	}
 
 	// Start node activities.
 	for i := 0; i < n; i++ {
+		if !needCAN {
+			d.Peers[i].Start(s.Maintenance)
+			continue
+		}
 		d.Grids[i].Start()
 		if s.Notify {
 			d.Brokers[i].Start()
 		}
 		if s.Maintenance {
-			if needChord {
-				d.Chords[i].Start()
-			}
-			if len(d.RNs) > 0 {
-				d.RNs[i].Start()
-			}
-			if needCAN {
-				d.CANs[i].Start()
-			}
+			d.CANs[i].Start()
 		}
 	}
 
 	return d
+}
+
+// buildPeer wires one chord-family node through the shared peer
+// builder; the baselines other than RN-Tree bring their own matchmaker.
+func (d *Deployment) buildPeer(h *simhost.Host, spec workload.NodeSpec, gcfg grid.Config) {
+	s := d.Scenario
+	var matcher grid.Matchmaker
+	var ttl *match.TTL
+	switch s.Alg {
+	case AlgCentral:
+		matcher = &match.Central{Reg: d.Registry}
+	case AlgRandom:
+		matcher = &match.Random{Reg: d.Registry}
+	case AlgTTL:
+		ttl = &match.TTL{Self: h.Addr(), Caps: spec.Caps, OS: spec.OS, Budget: s.TTLBudget}
+		matcher = ttl
+	}
+	p := peer.New(h, peer.Config{
+		Caps:     spec.Caps,
+		OS:       spec.OS,
+		RNTree:   rntree.Config{K: s.ExtendedSearchK, RandomWalkLen: s.RandomWalkLen},
+		Grid:     gcfg,
+		Recorder: d.Collector,
+		Notify:   s.Notify,
+		Matcher:  matcher,
+	})
+	if ttl != nil {
+		// The TTL baseline floods over ring neighbours, which answer
+		// its probes.
+		ttl.Neighbors = ttlNeighborFn(p.Chord)
+		ttl.Load = p.Grid.QueueLen
+		match.RegisterProbe(h, spec.Caps, spec.OS, p.Grid.QueueLen, ttl.Neighbors)
+	}
+	d.Peers = append(d.Peers, p)
+	d.Grids = append(d.Grids, p.Grid)
+	if p.Broker != nil {
+		d.Brokers = append(d.Brokers, p.Broker)
+	}
+}
+
+// buildCAN wires one CAN-family node. No live peer runs CAN, so these
+// nodes keep their own assembly.
+func (d *Deployment) buildCAN(h *simhost.Host, spec workload.NodeSpec, gcfg grid.Config) {
+	s := d.Scenario
+	cn := can.New(h, spec.Caps, spec.OS, can.Config{
+		DisableVirtualDim: s.DisableVirtualDim,
+		Space:             s.Workload.Space,
+	})
+	d.CANs = append(d.CANs, cn)
+	var matcher grid.Matchmaker = &match.CAN{CN: cn, Push: s.Alg == AlgCANPush}
+	var b *pubsub.Broker
+	if s.Notify {
+		// No ring to hash topics onto: a fixed rendezvous keeps the
+		// overlay usable.
+		rdv := d.Hosts[0].Addr()
+		b = pubsub.New(h, pubsub.Config{
+			Lookup: func(rt transport.Runtime, key ids.ID) (transport.Addr, error) { return rdv, nil },
+			Obs:    gcfg.Obs,
+		})
+		d.Brokers = append(d.Brokers, b)
+		gcfg.Notify = b
+	}
+	if gcfg.Trust != nil {
+		matcher = &match.Trusted{Inner: matcher, Table: gcfg.Trust}
+	}
+	gn := grid.NewNode(h, spec.Caps, spec.OS, &match.CANOverlay{CAN: cn}, matcher, d.Collector, gcfg)
+	cn.SetLoadFn(gn.QueueLen)
+	if b != nil {
+		b.SetOnEvent(gn.OnNotification)
+	}
+	d.Grids = append(d.Grids, gn)
 }
 
 // Crash implements faultinject.Harness: node i's endpoint goes down,
@@ -390,10 +349,12 @@ func (d *Deployment) Crash(i int) { d.Eps[i].Crash() }
 // run, which is the honest post-crash behaviour for this harness.
 func (d *Deployment) Restart(i int) {
 	d.Eps[i].Restart()
+	if d.Peers != nil {
+		d.Peers[i].Restart()
+		return
+	}
 	d.Grids[i].Restart()
 	if d.Brokers != nil {
-		// The broker restarts alongside the grid node, soft state
-		// cleared — replicated subscriber lists recover via push-back.
 		d.Brokers[i].Reset()
 		d.Brokers[i].Start()
 	}

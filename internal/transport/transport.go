@@ -70,6 +70,20 @@ type Runtime interface {
 	CallT(to Addr, method string, req any, timeout time.Duration) (any, error)
 }
 
+// PeerHealth is one peer's circuit-breaker snapshot. The live
+// transport reports it per called peer (nettransport Host.Health), and
+// the grid layer serves it over grid.health; the simulator has no
+// breakers and reports none.
+type PeerHealth struct {
+	Peer        Addr
+	State       string        // closed | open | half-open
+	ConsecFails int           // consecutive failures while closed
+	Failures    int64         // cumulative transport-level failures
+	Successes   int64         // cumulative successes
+	Opens       int64         // times the circuit opened
+	RetryIn     time.Duration // open only: time until the next probe is admitted
+}
+
 // ChanWaiter is the optional Runtime extension for waiting on an
 // ordinary Go channel. Only runtimes whose clock is wall-clock (the
 // live transport) implement it: there, parking on a channel wakes the
